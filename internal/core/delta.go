@@ -67,8 +67,8 @@ func (e *Engine) queryDelta(q *query.Query, have map[int]uint64) (*DeltaScan, bo
 	if !exec.Repairable(q) {
 		return nil, false, nil
 	}
+	info := query.InfoOf(q)
 	if e.opts.Mode == ModeAdaptive {
-		info := query.InfoOf(q)
 		e.stateMu.Lock()
 		// Defer to Execute when the adaptive machinery wants the exclusive
 		// lock: an adaptation phase is due (from previously observed
@@ -98,16 +98,41 @@ func (e *Engine) queryDelta(q *query.Query, have map[int]uint64) (*DeltaScan, bo
 
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	ds := &DeltaScan{}
-	// Rescans fan out like any other scan: the usual one-changed-tail
-	// repair stays serial, a cold seed of a large relation uses the
-	// configured intra-query parallelism.
-	fresh, reused, err := exec.ExecDelta(e.rel, q, have, e.opts.Parallelism, &ds.Stats)
+	ds, err := e.deltaScan(q, info, have)
 	if err != nil {
 		if err == exec.ErrUnsupported {
 			return nil, false, nil
 		}
 		return nil, false, err
+	}
+	return ds, true, nil
+}
+
+// ScanPartials is the unconditional partial scan of a repairable query:
+// every candidate segment's partial, under the read lock, with the
+// fingerprint computed under that same lock so the result is exactly
+// consistent with it. Unlike QueryDelta it never defers to the adaptive
+// machinery (nor observes the window) — the shard router calls it as its
+// terminal fallback, after the full path has had its chance.
+// Non-repairable queries return exec.ErrUnsupported.
+func (e *Engine) ScanPartials(q *query.Query) (*DeltaScan, error) {
+	e.mu.RLock()
+	defer e.mu.RUnlock()
+	return e.deltaScan(q, query.InfoOf(q), nil)
+}
+
+// deltaScan runs exec.ExecDelta under the strategy strategyFor picks —
+// the one full scans would run — rescanning the candidates whose versions
+// differ from have. Rescans fan out like any other scan: the usual
+// one-changed-tail repair stays serial, a cold seed of a large relation
+// uses the configured intra-query parallelism. The caller holds e.mu in
+// read mode.
+func (e *Engine) deltaScan(q *query.Query, info query.Info, have map[int]uint64) (*DeltaScan, error) {
+	strategy, _ := e.strategyFor(q, info)
+	ds := &DeltaScan{}
+	fresh, reused, err := exec.ExecDelta(e.rel, q, have, exec.ExecOpts{Strategy: strategy, Workers: e.opts.Parallelism, Stats: &ds.Stats})
+	if err != nil {
+		return nil, err
 	}
 	ds.Fresh = fresh
 	ds.Reused = reused
@@ -118,5 +143,5 @@ func (e *Engine) queryDelta(q *query.Query, have map[int]uint64) (*DeltaScan, bo
 	// Keep group recency honest — a repair reads covering groups just like
 	// a full scan would, and MaxGroups eviction must not starve them.
 	e.touchGroups(q)
-	return ds, true, nil
+	return ds, nil
 }

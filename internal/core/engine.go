@@ -477,94 +477,18 @@ func (e *Engine) execute(q *query.Query) (*exec.Result, ExecInfo, error) {
 	return e.run(q, info, start)
 }
 
-// run picks the cheapest strategy and executes it. The caller holds e.mu in
-// read or write mode.
+// run picks the strategy (strategyFor) and executes it. The caller holds
+// e.mu in read or write mode.
 func (e *Engine) run(q *query.Query, info query.Info, start time.Time) (*exec.Result, ExecInfo, error) {
-	strategy, estCost := e.chooseStrategy(q, info)
-
-	// Encoded-direct fast path: with the encoded tier enabled,
-	// aggregate-shaped queries run straight over the per-column encoded
-	// blocks of sealed segments — block headers prune or fold whole blocks
-	// without touching their payloads, and spilled segments fault in only
-	// their compact encoded form instead of rehydrating flat data. Shapes
-	// outside the encoded pipeline's reach (projections, unsplittable predicates)
-	// fall through to the cost-based paths below. ServesEncoded gates the
-	// attempt on some unpruned segment actually carrying encoded blocks (or
-	// living spilled), so an all-flat relation never reports
-	// StrategyEncoded.
-	if e.opts.EncodedTier && exec.ServesEncoded(e.rel, q) {
-		var st exec.StrategyStats
-		res, err := exec.Exec(e.rel, q, exec.ExecOpts{Strategy: exec.StrategyEncoded, Stats: &st})
-		if err == nil {
-			e.recordSelectivity(info, q, res)
-			e.touchGroups(q)
-			applyLimit(q, res)
-			return res, ExecInfo{
-				Strategy:        exec.StrategyEncoded,
-				Layout:          e.rel.Kind(),
-				EstimatedCost:   estCost,
-				WindowSize:      e.windowSize(),
-				SegmentsScanned: st.SegmentsScanned,
-				SegmentsPruned:  st.SegmentsPruned,
-				SegmentsFaulted: st.SegmentsFaulted,
-				SegmentsTouched: st.Touched,
-				DecodeSkips:     st.DecodeSkips,
-				EncodedBytes:    st.EncodedBytes,
-				Fingerprint:     TouchFingerprintOf(e.rel, q),
-				Duration:        time.Since(start),
-			}, nil
-		}
-		if err != exec.ErrUnsupported {
-			return nil, ExecInfo{}, err
-		}
-	}
-
-	// Parallel fast path: fused row scans fan out with one task per storage
-	// segment, so the parallelism granularity matches the data partitioning.
-	// A hybrid plan degenerates to the same fused scan whenever one group
-	// per segment covers the whole query, so it takes the parallel path too
-	// — intra-query parallelism composes with the inter-query parallelism
-	// of the read lock.
-	if e.opts.Parallelism > 1 && (strategy == exec.StrategyRow || strategy == exec.StrategyHybrid) {
-		if exec.RowCovered(e.rel, q) {
-			var st exec.StrategyStats
-			if res, err := exec.Exec(e.rel, q, exec.ExecOpts{Strategy: exec.StrategyRow, Workers: e.opts.Parallelism, Stats: &st}); err == nil {
-				e.recordSelectivity(info, q, res)
-				e.touchGroups(q)
-				applyLimit(q, res)
-				return res, ExecInfo{
-					Strategy:        strategy,
-					Layout:          e.rel.Kind(),
-					EstimatedCost:   estCost,
-					WindowSize:      e.windowSize(),
-					SegmentsScanned: st.SegmentsScanned,
-					SegmentsPruned:  st.SegmentsPruned,
-					SegmentsFaulted: st.SegmentsFaulted,
-					SegmentsTouched: st.Touched,
-					Fingerprint:     TouchFingerprintOf(e.rel, q),
-					Duration:        time.Since(start),
-				}, nil
-			}
-			// Unsupported shape: fall through to the operator path.
-		}
-	}
-
-	op, cached, err := e.gen.Operator(strategy, e.rel, q)
-	if err != nil {
-		return nil, ExecInfo{}, err
-	}
-	res, st, err := op.Run(e.rel, q)
+	strategy, estCost := e.strategyFor(q, info)
+	res, st, compile, err := e.runStrategy(strategy, q)
 	if err == exec.ErrUnsupported {
 		// Shape outside the template library: generic operator.
 		e.stateMu.Lock()
 		e.stats.GenericFallback++
 		e.stateMu.Unlock()
 		strategy = exec.StrategyGeneric
-		op, cached, err = e.gen.Operator(strategy, e.rel, q)
-		if err != nil {
-			return nil, ExecInfo{}, err
-		}
-		res, st, err = op.Run(e.rel, q)
+		res, st, compile, err = e.runStrategy(strategy, q)
 	}
 	if err != nil {
 		return nil, ExecInfo{}, err
@@ -574,29 +498,75 @@ func (e *Engine) run(q *query.Query, info query.Info, start time.Time) (*exec.Re
 	e.touchGroups(q)
 	applyLimit(q, res)
 
-	ei := ExecInfo{
-		Strategy:      strategy,
-		Layout:        e.rel.Kind(),
-		EstimatedCost: estCost,
-		WindowSize:    e.windowSize(),
+	return res, ExecInfo{
+		Strategy:        strategy,
+		Layout:          e.rel.Kind(),
+		EstimatedCost:   estCost,
+		WindowSize:      e.windowSize(),
+		SegmentsScanned: st.SegmentsScanned,
+		SegmentsPruned:  st.SegmentsPruned,
+		SegmentsFaulted: st.SegmentsFaulted,
+		SegmentsTouched: st.Touched,
+		DecodeSkips:     st.DecodeSkips,
+		EncodedBytes:    st.EncodedBytes,
 		// Computed under the lock the execution held, so the fingerprint
 		// matches exactly the state the result was read from.
 		Fingerprint: TouchFingerprintOf(e.rel, q),
-		Duration:    time.Since(start),
+		CompileTime: compile,
+		Duration:    time.Since(start) + compile,
+	}, nil
+}
+
+// strategyFor is the engine's one strategy-selection rule, shared by full
+// scans (run), delta repair (queryDelta) and partial scans (ScanPartials):
+// the encoded-direct strategy when the encoded tier is on and serves q
+// (aggregate-shaped, with some unpruned segment encoded or spilled), the
+// cost-based chooser's pick and estimate otherwise. The cost model does
+// not price the encoded-direct strategy, so its estimate is zero. A
+// strategy that reports exec.ErrUnsupported for q's shape falls back to
+// StrategyGeneric — in run, and inside exec.ExecDelta. The caller holds
+// e.mu in any mode.
+func (e *Engine) strategyFor(q *query.Query, info query.Info) (exec.Strategy, costmodel.Seconds) {
+	if e.opts.EncodedTier && exec.ServesEncoded(e.rel, q) {
+		return exec.StrategyEncoded, 0
 	}
-	if st != nil {
-		ei.SegmentsScanned = st.SegmentsScanned
-		ei.SegmentsPruned = st.SegmentsPruned
-		ei.SegmentsFaulted = st.SegmentsFaulted
-		ei.SegmentsTouched = st.Touched
-		ei.DecodeSkips = st.DecodeSkips
-		ei.EncodedBytes = st.EncodedBytes
+	return e.chooseStrategy(q, info)
+}
+
+// runStrategy executes q under strategy s. The encoded-direct strategy
+// runs its pipeline directly (it has no generated operator). Row and
+// hybrid plans fan out across segments when intra-query parallelism is
+// configured and one group per segment covers the query — a hybrid plan
+// degenerates to the same fused scan then — so the parallelism
+// granularity matches the data partitioning. Everything else runs the
+// generated operator, whose compile time is charged when it was not
+// cached.
+func (e *Engine) runStrategy(s exec.Strategy, q *query.Query) (*exec.Result, exec.StrategyStats, time.Duration, error) {
+	var st exec.StrategyStats
+	if s == exec.StrategyEncoded {
+		res, err := exec.Exec(e.rel, q, exec.ExecOpts{Strategy: s, Stats: &st})
+		return res, st, 0, err
 	}
+	if e.opts.Parallelism > 1 && (s == exec.StrategyRow || s == exec.StrategyHybrid) && exec.RowCovered(e.rel, q) {
+		if res, err := exec.Exec(e.rel, q, exec.ExecOpts{Strategy: exec.StrategyRow, Workers: e.opts.Parallelism, Stats: &st}); err == nil {
+			return res, st, 0, nil
+		}
+		// Unsupported shape: fall through to the operator path.
+		st = exec.StrategyStats{}
+	}
+	op, cached, err := e.gen.Operator(s, e.rel, q)
+	if err != nil {
+		return nil, st, 0, err
+	}
+	res, opSt, err := op.Run(e.rel, q)
+	if err != nil {
+		return nil, st, 0, err
+	}
+	var compile time.Duration
 	if !cached {
-		ei.CompileTime = op.CompileTime
-		ei.Duration += op.CompileTime
+		compile = op.CompileTime
 	}
-	return res, ei, nil
+	return res, *opSt, compile, nil
 }
 
 // pendingCoversLocked reports whether any pending proposal covers the

@@ -77,16 +77,6 @@ func BenchmarkGatherColumn(b *testing.B) {
 	}
 }
 
-func BenchmarkAggColumnAllSum(b *testing.B) {
-	_, col, _ := benchFixture(b, 1)
-	g, _ := col.GroupFor(0)
-	b.SetBytes(benchRows * 8)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = AggColumnAll(g, 0, expr.AggSum)
-	}
-}
-
 func BenchmarkSumOffsetsAll(b *testing.B) {
 	tb, _, _ := benchFixture(b, 5)
 	g := storage.BuildGroup(tb, []data.AttrID{0, 1, 2, 3, 4})
@@ -161,8 +151,8 @@ func BenchmarkStrategyGeneric(b *testing.B) {
 // BenchmarkPipeline* time the streaming pipeline's segment-level fan-out:
 // the same strategy on the same multi-segment relation, serial vs one worker
 // per core. The parallel sub-runs should scale with segment count — they are
-// the CI-visible proof that column, hybrid and vectorized execution fan out
-// per segment instead of serializing phases.
+// the CI-visible proof that column and hybrid execution fan out per
+// segment instead of serializing phases.
 
 func benchPipeline(b *testing.B, rel *storage.Relation, s Strategy) {
 	b.Helper()
@@ -195,11 +185,6 @@ func BenchmarkPipelineColumn(b *testing.B) {
 func BenchmarkPipelineHybrid(b *testing.B) {
 	tb := data.Generate(data.SyntheticSchema("R", 50), benchRows, 42)
 	benchPipeline(b, storage.BuildRowMajorSeg(tb, false, benchRows/16), StrategyHybrid)
-}
-
-func BenchmarkPipelineVectorized(b *testing.B) {
-	tb := data.Generate(data.SyntheticSchema("R", 50), benchRows, 42)
-	benchPipeline(b, storage.BuildColumnMajorSeg(tb, benchRows/16), StrategyVectorized)
 }
 
 func BenchmarkReorgOnline(b *testing.B) {

@@ -22,9 +22,10 @@ const (
 	StrategyReorg
 	// StrategyDelta answers a repairable aggregate query by rescanning only
 	// the segments that changed since its partials were cached, merging with
-	// the retained cold-segment partials (ExecDelta). The serving layer
-	// reports it on delta-repaired queries; the cost-based chooser never
-	// selects it directly.
+	// the retained cold-segment partials (ExecDelta, which runs the chosen
+	// strategy's pipeline in repair mode). The serving layer reports it on
+	// delta-repaired queries; the cost-based chooser never selects it
+	// directly.
 	StrategyDelta
 	// StrategyEncoded answers aggregate-shaped queries directly over the
 	// per-column encoded blocks of sealed segments: block headers skip or
@@ -33,14 +34,6 @@ const (
 	// encoded-tier relations; the cost-based chooser never selects it
 	// directly.
 	StrategyEncoded
-	// StrategyVectorized is the chunked variant of StrategyHybrid (§3.3):
-	// the same operators over fixed-size row chunks whose intermediates
-	// stay cache-resident. An ablation strategy, never cost-chosen.
-	StrategyVectorized
-	// StrategyBitmap is StrategyHybrid's aggregate path with bit-vectors
-	// instead of selection vectors. An ablation strategy, never
-	// cost-chosen.
-	StrategyBitmap
 	// StrategyJoin is the streaming hash-join operator (ExecJoin): the
 	// greedily chosen build side folds into a hash table segment-at-a-time,
 	// the probe side streams through the standard pipeline. It spans two
@@ -66,10 +59,6 @@ func (s Strategy) String() string {
 		return "delta-repair"
 	case StrategyEncoded:
 		return "encoded-direct"
-	case StrategyVectorized:
-		return "vectorized"
-	case StrategyBitmap:
-		return "bitmap"
 	case StrategyJoin:
 		return "hash-join"
 	default:
@@ -82,11 +71,13 @@ func (s Strategy) String() string {
 // with the given strategy. estSel is the engine's selectivity estimate for
 // the query's predicates; it only matters for ranking.
 //
-// Costing is segment-aware: a relation whose segments share one layout is
-// costed once at full row count (identical to costing each segment and
-// summing, since every term is linear in rows); a mixed-layout relation is
-// costed segment by segment so a plan that is cheap on the three
-// reorganized segments and expensive on the rest prices correctly.
+// Costing is layout-aware: segments sharing one layout are costed once at
+// their total row count (identical to costing each segment and summing,
+// since every term is linear in rows), so a relation whose segments share
+// one layout costs one segment plan, and a mixed-layout relation costs one
+// per distinct layout — a plan that is cheap on the three reorganized
+// segments and expensive on the rest still prices correctly, without
+// re-planning every segment of the same layout.
 //
 // The returned slice is nil when the strategy cannot run the query on the
 // relation's current groups (e.g. StrategyRow without a covering group in
@@ -95,12 +86,28 @@ func AccessPlan(s Strategy, rel *storage.Relation, q *query.Query, estSel float6
 	if rel.Uniform() {
 		return segAccessPlan(s, rel.Segments[0], rel.Rows, q, estSel)
 	}
-	var accesses []costmodel.GroupAccess
+	type layout struct {
+		seg  *storage.Segment
+		rows int
+	}
+	var layouts []layout
+	bySig := make(map[string]int)
 	for _, seg := range rel.Segments {
 		if seg.Rows == 0 {
 			continue
 		}
-		sub := segAccessPlan(s, seg, seg.Rows, q, estSel)
+		sig := seg.LayoutSignature()
+		i, seen := bySig[sig]
+		if !seen {
+			i = len(layouts)
+			bySig[sig] = i
+			layouts = append(layouts, layout{seg: seg})
+		}
+		layouts[i].rows += seg.Rows
+	}
+	var accesses []costmodel.GroupAccess
+	for _, l := range layouts {
+		sub := segAccessPlan(s, l.seg, l.rows, q, estSel)
 		if sub == nil {
 			return nil
 		}
@@ -116,7 +123,7 @@ type segPlanFunc func(seg *storage.Segment, rows int, q *query.Query, estSel flo
 
 // segAccessPlan costs one segment's layout, scaled to rows tuples, by
 // dispatching to the strategy's registered segPlan. Strategies without
-// one (reorg, delta, encoded, the ablation strategies) are never costed.
+// one (reorg, delta, encoded) are never costed.
 func segAccessPlan(s Strategy, seg *storage.Segment, rows int, q *query.Query, estSel float64) []costmodel.GroupAccess {
 	e, ok := strategies[s]
 	if !ok || e.segPlan == nil {

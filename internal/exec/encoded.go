@@ -405,13 +405,20 @@ func encodedSegmentScan(seg *storage.Segment, out Outputs, preds []ColPred, stat
 	return true, nil
 }
 
-// ServesEncoded reports whether the encoded-direct pipeline would win on
-// q: some segment the zone maps cannot prune serves from an encoded form
+// encodedShape reports whether the encoded block kernel has a fold for
+// the output shape: flat, expression and grouped aggregates.
+func encodedShape(k OutKind) bool {
+	return k == OutAggregates || k == OutAggExpression || k == OutGrouped
+}
+
+// ServesEncoded reports whether the encoded-direct pipeline accepts q and
+// would win on it: q is aggregate-shaped under a splittable conjunction,
+// and some segment the zone maps cannot prune serves from an encoded form
 // — non-resident (faults back encoded) or resident with cached encodings.
 // When every survivor is flat — e.g. only the mutable tail is left after
-// pruning — the flat strategies' fused operators beat the encoded
-// pipeline's flat fallback, and there is nothing encoded to win on. The
-// serving layer consults this before dispatching StrategyEncoded.
+// pruning — the cost-chosen strategy's operators serve it at least as
+// well, and there is nothing encoded to win on. The engine consults this
+// before choosing StrategyEncoded.
 func ServesEncoded(rel *storage.Relation, q *query.Query) bool {
 	preds, splittable := SplitConjunction(q.Where)
 	if !splittable {
@@ -425,7 +432,7 @@ func ServesEncoded(rel *storage.Relation, q *query.Query) bool {
 			continue
 		}
 		if seg.State() != storage.SegResident || seg.EncodedBytes() > 0 {
-			return true
+			return encodedShape(Classify(q).Kind)
 		}
 	}
 	return false
@@ -433,39 +440,22 @@ func ServesEncoded(rel *storage.Relation, q *query.Query) bool {
 
 // encodedSegPartial is the encoded pipeline's per-segment operator: the
 // block-header fold kernel when the segment's needed groups hold
-// encodings, the flat filter path otherwise — routed per segment, so one
+// encodings, the hybrid operator otherwise — routed per segment, so one
 // query over a mixed relation serves each segment from its best form.
+// Hybrid serves any layout under a splittable conjunction, which is this
+// pipeline's own precondition.
 func encodedSegPartial(seg *storage.Segment, q *query.Query, out Outputs, preds []ColPred, stats *StrategyStats) (*partial, error) {
 	states := newStates(out)
 	var ga *groupedAcc
 	if out.Kind == OutGrouped {
 		ga = newGroupedAcc(out)
 	}
-	if err := encodedOrFlatSegment(seg, q, out, preds, states, ga, stats); err != nil {
+	ok, err := encodedSegmentScan(seg, out, preds, states, ga, stats)
+	if err != nil {
 		return nil, err
 	}
+	if !ok {
+		return hybridSegPartial(seg, q, out, preds, stats)
+	}
 	return &partial{states: states, groups: ga}, nil
-}
-
-// encodedOrFlatSegment scans one pinned segment into the global
-// accumulators: the encoded block kernel when the needed groups hold
-// encodings, otherwise the flat per-segment partial path with fresh
-// per-segment states merged in.
-func encodedOrFlatSegment(seg *storage.Segment, q *query.Query, out Outputs, preds []ColPred, states []*expr.AggState, ga *groupedAcc, stats *StrategyStats) error {
-	ok, err := encodedSegmentScan(seg, out, preds, states, ga, stats)
-	if err != nil || ok {
-		return err
-	}
-	sp, err := scanSegmentPartial(seg, q, out, preds, true, stats)
-	if err != nil {
-		return err
-	}
-	if out.Kind == OutGrouped {
-		ga.mergeMap(sp.Groups)
-		return nil
-	}
-	for i, st := range sp.States {
-		states[i].Merge(st)
-	}
-	return nil
 }

@@ -296,13 +296,6 @@ func eqStrategies(rng *rand.Rand) []eqStrategy {
 		{"generic", false, func(rel *storage.Relation, q *query.Query) (*Result, error) {
 			return Exec(rel, q, ExecOpts{Strategy: StrategyGeneric})
 		}},
-		{"vectorized", false, func(rel *storage.Relation, q *query.Query) (*Result, error) {
-			sizes := []int{0, 7, 64, 1024}
-			return Exec(rel, q, ExecOpts{Strategy: StrategyVectorized, VectorSize: sizes[rng.Intn(len(sizes))]})
-		}},
-		{"bitmap", false, func(rel *storage.Relation, q *query.Query) (*Result, error) {
-			return Exec(rel, q, ExecOpts{Strategy: StrategyBitmap})
-		}},
 		{"encoded", false, func(rel *storage.Relation, q *query.Query) (*Result, error) {
 			return Exec(rel, q, ExecOpts{Strategy: StrategyEncoded})
 		}},
@@ -428,13 +421,30 @@ func eqMutate(t testing.TB, rng *rand.Rand, rel *storage.Relation) {
 	}
 }
 
+// deltaStrategies is the strategy input of the delta-repair harness: every
+// strategy ExecDelta can run a repair under. The row strategy needs a
+// single covering group per segment and is skipped (not failed) without
+// one; the others accept every repairable shape, falling back to the
+// generic pipeline where they have no operators for it.
+var deltaStrategies = []struct {
+	s        Strategy
+	rowShape bool
+}{
+	{StrategyRow, true},
+	{StrategyColumn, false},
+	{StrategyHybrid, false},
+	{StrategyEncoded, false},
+	{StrategyGeneric, false},
+}
+
 // TestDeltaRepairEquivalence extends the harness to the partial-result
 // layer: every randomized query that classifies as repairable has its
 // partials cached, the relation is mutated by random appends and
 // segment-local reorgs, and the query is then answered via cached partials
-// plus a delta rescan of only the changed candidates — the repaired result
-// must equal a fresh full scan of the mutated state, and the rescan set
-// must be disjoint from the version-matched reuse set.
+// plus a delta rescan of only the changed candidates, under every strategy
+// of deltaStrategies — each repaired result must equal a fresh full scan
+// of the mutated state, and the rescan set must be disjoint from the
+// version-matched reuse set.
 func TestDeltaRepairEquivalence(t *testing.T) {
 	const (
 		relations       = 8
@@ -463,7 +473,7 @@ func TestDeltaRepairEquivalence(t *testing.T) {
 			if !Repairable(q) {
 				continue
 			}
-			prior, err := ExecPartials(rel, q, nil)
+			prior, _, err := ExecDelta(rel, q, nil, ExecOpts{Strategy: StrategyGeneric})
 			if err != nil {
 				t.Fatalf("seed %s: %v", q, err)
 			}
@@ -472,40 +482,51 @@ func TestDeltaRepairEquivalence(t *testing.T) {
 
 		for m := 0; m < mutationsPerRel; m++ {
 			eqMutate(t, rng, rel)
-			// Demote a slice of the sealed segments so delta repair reads a
-			// mix of flat and encoded-resident candidates every round.
-			demoteFraction(rel, 0.5)
 			for i := range qs {
 				q, prior := qs[i].q, qs[i].prior
 				have := prior.Versions()
-				// Random worker counts: serial and fanned-out rescans must
-				// produce identical partials.
-				fresh, reused, err := ExecDelta(rel, q, have, 1+rng.Intn(4), nil)
-				if err != nil {
-					t.Fatalf("delta %s: %v", q, err)
-				}
-				for _, si := range reused {
-					if v := rel.Segments[si].Version(); v != have[si] {
-						t.Fatalf("%s: reused segment %d at version %d, cached %d", q, si, v, have[si])
-					}
-				}
-				for si := range fresh.Segs {
-					if hv, ok := have[si]; ok && hv == rel.Segments[si].Version() {
-						t.Fatalf("%s: rescanned segment %d whose version never moved", q, si)
-					}
-				}
-				repaired := Repaired(prior, fresh, reused)
 				want, err := Exec(rel, q, ExecOpts{Strategy: StrategyGeneric})
 				if err != nil {
 					t.Fatal(err)
 				}
-				if got := repaired.Result(); !got.Equal(want) {
-					t.Fatalf("repair diverged on %s after mutation %d:\n got %v\nwant %v",
-						q, m, got.Data, want.Data)
+				// Random worker counts: serial and fanned-out rescans must
+				// produce identical partials. One draw per query keeps the
+				// mutation schedule on its original stream; the strategies
+				// rotate through the counts from there.
+				w := rng.Intn(4)
+				for k, ds := range deltaStrategies {
+					// Demote a slice of the sealed segments so each strategy
+					// repairs over a mix of flat and encoded-resident
+					// candidates (the previous one rehydrated what it read).
+					demoteFraction(rel, 0.5)
+					if ds.rowShape && !RowCovered(rel, q) {
+						continue
+					}
+					workers := 1 + (w+k)%4
+					fresh, reused, err := ExecDelta(rel, q, have, ExecOpts{Strategy: ds.s, Workers: workers})
+					if err != nil {
+						t.Fatalf("delta %s under %v: %v", q, ds.s, err)
+					}
+					for _, si := range reused {
+						if v := rel.Segments[si].Version(); v != have[si] {
+							t.Fatalf("%s under %v: reused segment %d at version %d, cached %d", q, ds.s, si, v, have[si])
+						}
+					}
+					for si := range fresh.Segs {
+						if hv, ok := have[si]; ok && hv == rel.Segments[si].Version() {
+							t.Fatalf("%s under %v: rescanned segment %d whose version never moved", q, ds.s, si)
+						}
+					}
+					repaired := Repaired(prior, fresh, reused)
+					if got := repaired.Result(); !got.Equal(want) {
+						t.Fatalf("repair under %v (workers %d) diverged on %s after mutation %d:\n got %v\nwant %v",
+							ds.s, workers, q, m, got.Data, want.Data)
+					}
+					// The repaired payload becomes the next round's cache, just
+					// as the serving layer republishes it: the next round
+					// repairs over partials another strategy produced.
+					qs[i].prior = repaired
 				}
-				// The repaired payload becomes the next round's cache, just
-				// as the serving layer republishes it.
-				qs[i].prior = repaired
 			}
 		}
 	}

@@ -40,9 +40,6 @@ type ExecOpts struct {
 	// > 1, serial execution when <= 1. The reorg pipeline is always
 	// serial (it mutates per-segment layout state).
 	Workers int
-	// VectorSize is the chunk size of StrategyVectorized; <= 0 selects
-	// the L1-sized default (VectorSize).
-	VectorSize int
 	// HotMask restricts StrategyReorg's stitching to the marked segments
 	// (nil stitches every segment).
 	HotMask []bool
@@ -76,19 +73,17 @@ type strategyEntry struct {
 	segPlan     segPlanFunc
 }
 
-// strategies is the registry. StrategyDelta has no pipeline builder: its
-// result shape is a PartialResult, served by ExecDelta (which shares this
-// file's claim loop for its fan-out).
+// strategies is the registry. StrategyDelta has no pipeline builder: it
+// names ExecDelta's result shape (a PartialResult), which any of the other
+// pipelines produces in the driver's repair mode.
 var strategies = map[Strategy]strategyEntry{
-	StrategyRow:        {build: buildRow, costRank: 0, explainRank: 0, plannable: true, segPlan: rowSegPlan},
-	StrategyHybrid:     {build: buildHybrid, costRank: 1, explainRank: 1, plannable: true, segPlan: hybridSegPlan},
-	StrategyColumn:     {build: buildColumn, costRank: 2, explainRank: 2, plannable: true, segPlan: columnSegPlan},
-	StrategyGeneric:    {build: buildGeneric, costRank: -1, explainRank: 3, plannable: true, segPlan: genericSegPlan},
-	StrategyVectorized: {build: buildVectorized, costRank: -1, explainRank: -1, plannable: true},
-	StrategyBitmap:     {build: buildBitmap, costRank: -1, explainRank: -1, plannable: true},
-	StrategyEncoded:    {build: buildEncoded, costRank: -1, explainRank: -1},
-	StrategyReorg:      {build: buildReorg, costRank: -1, explainRank: -1},
-	StrategyDelta:      {costRank: -1, explainRank: -1},
+	StrategyRow:     {build: buildRow, costRank: 0, explainRank: 0, plannable: true, segPlan: rowSegPlan},
+	StrategyHybrid:  {build: buildHybrid, costRank: 1, explainRank: 1, plannable: true, segPlan: hybridSegPlan},
+	StrategyColumn:  {build: buildColumn, costRank: 2, explainRank: 2, plannable: true, segPlan: columnSegPlan},
+	StrategyGeneric: {build: buildGeneric, costRank: -1, explainRank: 3, plannable: true, segPlan: genericSegPlan},
+	StrategyEncoded: {build: buildEncoded, costRank: -1, explainRank: -1},
+	StrategyReorg:   {build: buildReorg, costRank: -1, explainRank: -1},
+	StrategyDelta:   {costRank: -1, explainRank: -1},
 }
 
 // rankedStrategies returns the registry entries with rank(entry) >= 0 in
@@ -137,15 +132,68 @@ func Plannable(s Strategy) bool {
 // engine's dispatch, the operator generator and the harness all route
 // through it.
 func Exec(rel *storage.Relation, q *query.Query, opts ExecOpts) (*Result, error) {
-	e, ok := strategies[opts.Strategy]
-	if !ok || e.build == nil {
-		return nil, fmt.Errorf("exec: strategy %v has no pipeline builder", opts.Strategy)
-	}
-	p, err := e.build(rel, q, opts)
+	p, err := buildPipeline(rel, q, opts)
 	if err != nil {
 		return nil, err
 	}
 	return p.run(rel, opts)
+}
+
+// buildPipeline builds opts.Strategy's pipeline for q.
+func buildPipeline(rel *storage.Relation, q *query.Query, opts ExecOpts) (*pipeline, error) {
+	e, ok := strategies[opts.Strategy]
+	if !ok || e.build == nil {
+		return nil, fmt.Errorf("exec: strategy %v has no pipeline builder", opts.Strategy)
+	}
+	return e.build(rel, q, opts)
+}
+
+// ExecDelta is the driver's repair mode, behind the serving layer's delta
+// repair: it runs opts.Strategy's pipeline over rel — falling back to the
+// generic pipeline when the strategy has no operators for q's shape — but
+// keeps each scanned segment's partial as a versioned SegPartial instead
+// of merging them. The plan phase is Exec's (empty segments skipped,
+// zone-map pruning, pin/fault at the pipeline's residency tier, claim-loop
+// fan-out across opts.Workers) plus one filter: a candidate whose version
+// matches have[si] is *reused*, not rescanned. It returns the fresh
+// partials and the indices of the reused candidates; combining
+// Repaired(prior, fresh, reused).Result() equals a cold full scan of the
+// current state. have == nil reuses nothing (a cold seed).
+//
+// Segments are never sub-split — a partial is per segment — and no limit
+// applies: repairable queries carry none. The caller must hold the
+// relation stable (the engine's read lock suffices), so no version moves
+// between the plan and the scan. Non-repairable queries return
+// ErrUnsupported. Stats, when non-nil, receives the scan counters: only
+// rescanned segments count as scanned/touched.
+func ExecDelta(rel *storage.Relation, q *query.Query, have map[int]uint64, opts ExecOpts) (fresh *PartialResult, reused []int, err error) {
+	if !Repairable(q) {
+		return nil, nil, ErrUnsupported
+	}
+	p, err := buildPipeline(rel, q, opts)
+	if err == ErrUnsupported {
+		p, err = buildGeneric(rel, q, opts)
+	}
+	if err != nil {
+		return nil, nil, err
+	}
+	tasks, reused, err := p.plan(rel, have, opts.Stats)
+	if err != nil {
+		return nil, nil, err
+	}
+	partials, err := p.scanTasks(tasks, opts.Workers, opts.Stats)
+	if err != nil {
+		return nil, nil, err
+	}
+	fresh = newPartialResult(q)
+	for ti, part := range partials {
+		sp := &SegPartial{Version: tasks[ti].seg.Version(), States: part.states}
+		if part.groups != nil {
+			sp.States, sp.Groups = nil, part.groups.m
+		}
+		fresh.Segs[tasks[ti].si] = sp
+	}
+	return fresh, reused, nil
 }
 
 // segCtx is the per-task context the driver hands a pipeline's scan
@@ -199,28 +247,39 @@ type pipeline struct {
 }
 
 // run drives the pipeline: plan the segment tasks (SegSource policy),
-// then scan them serially or fanned out, then merge.
+// scan them serially or fanned out, then merge.
 func (p *pipeline) run(rel *storage.Relation, opts ExecOpts) (*Result, error) {
-	stats := opts.Stats
-	workers := opts.Workers
-	if workers <= 1 || p.serialOnly {
-		workers = 1
+	tasks, _, err := p.plan(rel, nil, opts.Stats)
+	if err != nil {
+		return nil, err
 	}
+	if p.subsplit {
+		tasks = subsplit(tasks, opts.Workers)
+	}
+	partials, err := p.scanTasks(tasks, opts.Workers, opts.Stats)
+	if err != nil {
+		return nil, err
+	}
+	return p.finish(partials)
+}
 
-	// SegSource plan phase: skip empty segments, resolve per-segment
-	// bindings, prune via zone maps (counted, and skipped entirely —
-	// pruning precedes the residency check, so spilled cold segments cost
-	// zero I/O).
-	tasks := make([]segTask, 0, len(rel.Segments))
+// plan is the SegSource plan phase: skip empty segments, resolve
+// per-segment bindings, prune via zone maps (counted, and skipped
+// entirely — pruning precedes the residency check, so spilled cold
+// segments cost zero I/O). With a have vector (delta repair), a surviving
+// segment whose version still equals have[si] is reused instead of
+// planned: neither its rows nor its candidacy can have changed, since
+// zone maps only move under version-bumping mutations.
+func (p *pipeline) plan(rel *storage.Relation, have map[int]uint64, stats *StrategyStats) (tasks []segTask, reused []int, err error) {
+	tasks = make([]segTask, 0, len(rel.Segments))
 	for si, seg := range rel.Segments {
 		if seg.Rows == 0 {
 			continue
 		}
 		var g *storage.ColumnGroup
 		if p.resolve != nil {
-			var err error
 			if g, err = p.resolve(seg); err != nil {
-				return nil, err
+				return nil, nil, err
 			}
 		}
 		if len(p.preds) > 0 && (p.force == nil || !p.force(si, seg)) && segPruned(seg, p.preds) {
@@ -229,89 +288,62 @@ func (p *pipeline) run(rel *storage.Relation, opts ExecOpts) (*Result, error) {
 			}
 			continue
 		}
+		if hv, ok := have[si]; ok && hv == seg.Version() {
+			reused = append(reused, si)
+			continue
+		}
 		t := segTask{si: si, seg: seg, g: g, hi: seg.Rows}
 		if p.bind != nil {
-			bound, err := p.bind(g)
-			if err != nil {
-				return nil, err
+			if t.bound, err = p.bind(g); err != nil {
+				return nil, nil, err
 			}
-			t.bound = bound
 		}
 		tasks = append(tasks, t)
 	}
+	return tasks, reused, nil
+}
 
-	// Fewer segments than workers (small relations, heavy pruning):
-	// sub-split each segment into contiguous row ranges so fan-out still
-	// uses every core. Ranges stay in (segment, row) order, which keeps
-	// the merged result and the limit's prefix property intact.
-	if n := len(tasks); p.subsplit && n > 0 && n < workers {
-		chunks := (workers + n - 1) / n
-		split := make([]segTask, 0, n*chunks)
-		for _, t := range tasks {
-			per := (t.hi + chunks - 1) / chunks
-			if per < 1 {
-				per = 1
-			}
-			for lo := 0; lo < t.hi; lo += per {
-				hi := lo + per
-				if hi > t.hi {
-					hi = t.hi
-				}
-				split = append(split, segTask{si: t.si, seg: t.seg, g: t.g, bound: t.bound, lo: lo, hi: hi})
-			}
+// subsplit cuts each task into contiguous row ranges when there are fewer
+// segments than workers (small relations, heavy pruning), so fan-out still
+// uses every core. Ranges stay in (segment, row) order, which keeps the
+// merged result and the limit's prefix property intact.
+func subsplit(tasks []segTask, workers int) []segTask {
+	n := len(tasks)
+	if n == 0 || n >= workers {
+		return tasks
+	}
+	chunks := (workers + n - 1) / n
+	split := make([]segTask, 0, n*chunks)
+	for _, t := range tasks {
+		per := (t.hi + chunks - 1) / chunks
+		if per < 1 {
+			per = 1
 		}
-		tasks = split
+		for lo := 0; lo < t.hi; lo += per {
+			hi := lo + per
+			if hi > t.hi {
+				hi = t.hi
+			}
+			split = append(split, segTask{si: t.si, seg: t.seg, g: t.g, bound: t.bound, lo: lo, hi: hi})
+		}
+	}
+	return split
+}
+
+// scanTasks runs the per-segment operator over the planned tasks through the
+// claim loop — serially when workers <= 1 — and returns the partials in
+// task order. Workers stop claiming once the dispatched prefix can
+// satisfy the limit (every task below the claim counter is being
+// scanned, so the first limit rows of the ordered concatenation are
+// final); tasks left unclaimed have nil partials. Counters fold in task
+// order after the join, so the fan-out is invisible in the stats too.
+func (p *pipeline) scanTasks(tasks []segTask, workers int, stats *StrategyStats) ([]*partial, error) {
+	if p.serialOnly {
+		workers = 1
 	}
 	if workers > len(tasks) {
 		workers = len(tasks)
 	}
-	if workers <= 1 {
-		return p.runSerial(tasks, stats)
-	}
-	return p.runParallel(tasks, workers, stats)
-}
-
-// runSerial scans the planned tasks in order, stopping once the limit's
-// row target is met by the consumed prefix.
-func (p *pipeline) runSerial(tasks []segTask, stats *StrategyStats) (*Result, error) {
-	partials := make([]*partial, 0, len(tasks))
-	rows := 0
-	for i := range tasks {
-		t := &tasks[i]
-		faulted, err := p.pin(t.seg)
-		if err != nil {
-			return nil, err
-		}
-		if t.lo == 0 {
-			t.seg.Touch()
-			stats.touch(t.si)
-		}
-		if stats != nil && faulted {
-			stats.SegmentsFaulted++
-		}
-		var ts StrategyStats
-		part, err := p.scan(&segCtx{si: t.si, seg: t.seg, g: t.g, bound: t.bound, lo: t.lo, hi: t.hi, stats: &ts})
-		t.seg.Release()
-		if err != nil {
-			return nil, err
-		}
-		foldCounters(stats, &ts)
-		partials = append(partials, part)
-		rows += part.rows
-		if p.limit > 0 && rows >= p.limit {
-			break
-		}
-	}
-	return p.finish(partials)
-}
-
-// runParallel fans the planned tasks out across a claim loop: workers
-// claim tasks in order, stop claiming once the dispatched prefix can
-// satisfy the limit (every task below the claim counter is being
-// scanned, so the first limit rows of the ordered concatenation are
-// final), and partials merge in task order after the join — bit-identical
-// to the serial scan.
-func (p *pipeline) runParallel(tasks []segTask, workers int, stats *StrategyStats) (*Result, error) {
 	limit := int64(p.limit)
 	partials := make([]*partial, len(tasks))
 	faulted := make([]bool, len(tasks))
@@ -349,20 +381,19 @@ func (p *pipeline) runParallel(tasks []segTask, workers int, stats *StrategyStat
 	if err != nil {
 		return nil, err
 	}
-	compact := make([]*partial, 0, len(partials))
 	for ti, part := range partials {
+		if part == nil {
+			continue
+		}
 		if faulted[ti] && stats != nil {
 			stats.SegmentsFaulted++
 		}
-		if part != nil {
-			if tasks[ti].lo == 0 {
-				stats.touch(tasks[ti].si)
-			}
-			foldCounters(stats, &taskStats[ti])
-			compact = append(compact, part)
+		if tasks[ti].lo == 0 {
+			stats.touch(tasks[ti].si)
 		}
+		foldCounters(stats, &taskStats[ti])
 	}
-	return p.finish(compact)
+	return partials, nil
 }
 
 // pin makes the segment's data readable at the pipeline's residency tier.
@@ -373,12 +404,19 @@ func (p *pipeline) pin(seg *storage.Segment) (bool, error) {
 	return seg.Acquire()
 }
 
-// finish merges the per-segment partials into the final result.
+// finish merges the scanned partials (nil for tasks the limit left
+// unclaimed) into the final result.
 func (p *pipeline) finish(partials []*partial) (*Result, error) {
-	if p.merge != nil {
-		return p.merge(partials)
+	scanned := partials[:0]
+	for _, part := range partials {
+		if part != nil {
+			scanned = append(scanned, part)
+		}
 	}
-	return mergePartials(p.out, partials), nil
+	if p.merge != nil {
+		return p.merge(scanned)
+	}
+	return mergePartials(p.out, scanned), nil
 }
 
 // foldCounters folds one task's private scan counters into the caller's
@@ -394,12 +432,20 @@ func foldCounters(dst, src *StrategyStats) {
 }
 
 // claimLoop runs fn(ti) for ti in [0, n) from workers goroutines claiming
-// indices off a shared counter. A failed sibling stops the claim loop —
-// the result is lost, so faulting more spilled segments in would be
-// wasted I/O — as does stop() returning true (the limit's prefix test).
-// The first error wins. Shared by every pipeline's fan-out and by
-// ExecDelta's partial rescans.
+// indices off a shared counter, or in order on the calling goroutine when
+// workers <= 1. A failed sibling stops the claim loop — the result is
+// lost, so faulting more spilled segments in would be wasted I/O — as
+// does stop() returning true (the limit's prefix test). The first error
+// wins.
 func claimLoop(n, workers int, stop func() bool, fn func(ti int) error) error {
+	if workers <= 1 {
+		for ti := 0; ti < n && (stop == nil || !stop()); ti++ {
+			if err := fn(ti); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
 	var next atomic.Int64
 	var failed atomic.Bool
 	var errOnce sync.Once
@@ -511,60 +557,16 @@ func buildHybrid(rel *storage.Relation, q *query.Query, opts ExecOpts) (*pipelin
 	}, nil
 }
 
-// buildVectorized is the chunked pipeline (§3.3): hybrid's operators over
-// vectorSize-row chunks whose intermediates stay L1-resident. The scratch
-// vectors are allocated per segment scan, so chunks share them but
-// concurrent segment tasks never do.
-func buildVectorized(rel *storage.Relation, q *query.Query, opts ExecOpts) (*pipeline, error) {
-	out, preds, err := splittableShape(q)
-	if err != nil {
-		return nil, err
-	}
-	vs := opts.VectorSize
-	if vs <= 0 {
-		vs = VectorSize
-	}
-	return &pipeline{
-		out:   out,
-		preds: preds,
-		limit: limitFor(out, q),
-		scan: func(c *segCtx) (*partial, error) {
-			return vectorSegPartial(c.seg, q, out, preds, vs, c.stats)
-		},
-	}, nil
-}
-
-// buildBitmap is hybrid's aggregate path with bit-vectors instead of
-// selection vectors; it serves the plain and grouped aggregation
-// templates only.
-func buildBitmap(rel *storage.Relation, q *query.Query, opts ExecOpts) (*pipeline, error) {
-	out := Classify(q)
-	if out.Kind != OutAggregates && out.Kind != OutGrouped {
-		return nil, ErrUnsupported
-	}
-	preds, splittable := SplitConjunction(q.Where)
-	if !splittable {
-		return nil, ErrUnsupported
-	}
-	return &pipeline{
-		out:   out,
-		preds: preds,
-		scan: func(c *segCtx) (*partial, error) {
-			return bitmapSegPartial(c.seg, q, out, preds, c.stats)
-		},
-	}, nil
-}
-
 // buildEncoded is the encoded-direct pipeline: aggregate-shaped queries
 // fold straight over the per-column encoded blocks of sealed segments.
 // Routing is per segment — segments whose needed groups hold encodings
 // take the block-header fold operator, flat segments (the mutable tail,
-// never-sealed residents) take the flat filter operator — so a query over
-// a mixed relation is served segment by segment instead of declining
+// never-sealed residents) take the hybrid operator — so a query over a
+// mixed relation is served segment by segment instead of declining
 // whole-query when pruning leaves only flat segments.
 func buildEncoded(rel *storage.Relation, q *query.Query, opts ExecOpts) (*pipeline, error) {
 	out := Classify(q)
-	if out.Kind != OutAggregates && out.Kind != OutAggExpression && out.Kind != OutGrouped {
+	if !encodedShape(out.Kind) {
 		return nil, ErrUnsupported
 	}
 	preds, splittable := SplitConjunction(q.Where)

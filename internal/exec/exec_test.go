@@ -332,34 +332,29 @@ func TestAggKernelsMatchStates(t *testing.T) {
 	g := storage.BuildGroup(tb, []data.AttrID{0})
 	sel := []int32{0, 5, 100, 700}
 	for _, op := range []expr.AggOp{expr.AggSum, expr.AggMax, expr.AggMin, expr.AggCount, expr.AggAvg} {
-		s := expr.NewAggState(op)
-		for r := 0; r < g.Rows; r++ {
-			s.Add(tb.Cols[0][r])
+		want := expr.NewAggState(op)
+		for r := 10; r < 500; r++ {
+			want.Add(tb.Cols[0][r])
 		}
-		if got := AggColumnAll(g, 0, op); got != s.Result() {
-			t.Fatalf("AggColumnAll(%v) = %d, want %d", op, got, s.Result())
+		got := expr.NewAggState(op)
+		foldRange(got, g, 0, 10, 490)
+		if got.Result() != want.Result() {
+			t.Fatalf("foldRange(%v) = %d, want %d", op, got.Result(), want.Result())
 		}
-		s2 := expr.NewAggState(op)
+		want2 := expr.NewAggState(op)
 		for _, r := range sel {
-			s2.Add(tb.Cols[0][r])
+			want2.Add(tb.Cols[0][r])
 		}
-		if got := AggColumnSel(g, 0, op, sel); got != s2.Result() {
-			t.Fatalf("AggColumnSel(%v) = %d, want %d", op, got, s2.Result())
-		}
-		vals := []data.Value{3, -1, 7, 7}
-		s3 := expr.NewAggState(op)
-		for _, v := range vals {
-			s3.Add(v)
-		}
-		if got := AggVector(vals, op); got != s3.Result() {
-			t.Fatalf("AggVector(%v) = %d, want %d", op, got, s3.Result())
+		got2 := expr.NewAggState(op)
+		foldSel(got2, g, 0, sel)
+		if got2.Result() != want2.Result() {
+			t.Fatalf("foldSel(%v) = %d, want %d", op, got2.Result(), want2.Result())
 		}
 	}
-	if AggColumnSel(g, 0, expr.AggSum, nil) != 0 {
+	empty := expr.NewAggState(expr.AggSum)
+	foldSel(empty, g, 0, nil)
+	if empty.Result() != 0 {
 		t.Fatal("empty selection should aggregate to 0")
-	}
-	if AggVector(nil, expr.AggMax) != 0 {
-		t.Fatal("empty vector should aggregate to 0")
 	}
 }
 
@@ -394,25 +389,6 @@ func TestSumOffsetsKernels(t *testing.T) {
 				t.Fatalf("k=%d SumOffsetsSel idx %d wrong", k, i)
 			}
 		}
-	}
-}
-
-func TestAddVectorsMaterialized(t *testing.T) {
-	a := []data.Value{1, 2, 3}
-	b := []data.Value{10, 20, 30}
-	c := []data.Value{100, 200, 300}
-	got := AddVectorsMaterialized([][]data.Value{a, b, c})
-	if !reflect.DeepEqual(got, []data.Value{111, 222, 333}) {
-		t.Fatalf("sum = %v", got)
-	}
-	// Single input must copy, not alias.
-	single := AddVectorsMaterialized([][]data.Value{a})
-	single[0] = 99
-	if a[0] == 99 {
-		t.Fatal("single-column result aliases input")
-	}
-	if AddVectorsMaterialized(nil) != nil {
-		t.Fatal("empty input should be nil")
 	}
 }
 

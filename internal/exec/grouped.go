@@ -12,12 +12,12 @@ import (
 // This file holds the grouped-aggregation machinery shared by every
 // strategy: a per-scan group accumulator (group key → AggState vector), an
 // order-preserving key codec so sorting encoded keys sorts key vectors, a
-// fused kernel binding for single-covering-group scans (the row strategies)
+// fused kernel binding for single-covering-group scans (the row strategy)
 // and an accessor-based folder for multi-group layouts (column, hybrid,
-// vectorized, bitmap, generic). All strategies emit groups ordered ascending
-// by key vector, so grouped results are bit-identical across strategies and
-// the delta-repair path, and LIMIT on a grouped query is a deterministic
-// prefix of groups.
+// encoded's flat fallback, generic). All strategies emit groups ordered
+// ascending by key vector, so grouped results are bit-identical across
+// strategies and the delta-repair path, and LIMIT on a grouped query is a
+// deterministic prefix of groups.
 
 // encodeGroupKey appends the order-preserving fixed-width encoding of key to
 // dst: each value is sign-flipped and written big-endian, so lexicographic
@@ -217,12 +217,12 @@ func (s *groupedScanner) fold(ga *groupedAcc, base int) {
 // segGroupedFolder folds individual rows of one segment into a groupedAcc
 // through per-attribute bindings resolved against the segment's own layout —
 // the grouped analog of genericSegmentScan's accessor indirection, shared by
-// the column, hybrid, vectorized, bitmap and generic strategies.
+// the column, hybrid and generic strategies.
 type segGroupedFolder struct {
 	keys   []data.AttrID
 	args   []expr.Expr
 	keyBuf []data.Value
-	binds  map[data.AttrID]groupedBinding
+	binds  []groupedBinding // indexed by attribute id
 	row    int
 	get    expr.Accessor
 }
@@ -241,11 +241,17 @@ func newSegGroupedFolder(seg *storage.Segment, attrs []data.AttrID, out Outputs)
 	if err != nil {
 		return nil, err
 	}
+	maxAttr := data.AttrID(0)
+	for a := range assign {
+		if a > maxAttr {
+			maxAttr = a
+		}
+	}
 	f := &segGroupedFolder{
 		keys:   out.GroupBy,
 		args:   out.GroupArgs,
 		keyBuf: make([]data.Value, len(out.GroupBy)),
-		binds:  make(map[data.AttrID]groupedBinding, len(assign)),
+		binds:  make([]groupedBinding, maxAttr+1),
 	}
 	for a, g := range assign {
 		off, _ := g.Offset(a)
@@ -272,8 +278,8 @@ func (f *segGroupedFolder) fold(ga *groupedAcc, r int) {
 
 // foldGroupedSel folds one segment's qualifying rows into ga: the absolute
 // in-segment row ids listed in sel when haveSel, every row otherwise. It is
-// the grouped phase-2 shared by the selection-vector strategies (column,
-// hybrid, vectorized).
+// the grouped phase-2 shared by the selection-vector strategies (column and
+// hybrid).
 func foldGroupedSel(seg *storage.Segment, out Outputs, ga *groupedAcc, sel []int32, haveSel bool) error {
 	f, err := newSegGroupedFolder(seg, groupedScanAttrs(out), out)
 	if err != nil {
@@ -293,9 +299,7 @@ func foldGroupedSel(seg *storage.Segment, out Outputs, ga *groupedAcc, sel []int
 
 // genericGroupedSegmentScan is the grouped per-segment body of the generic
 // interpreter: a tuple-at-a-time loop evaluating the predicate tree and the
-// grouped fold through accessor indirection. The partial-result layer reuses
-// it with a fresh accumulator to compute grouped SegPartials on layouts the
-// fused row kernel cannot serve.
+// grouped fold through accessor indirection.
 func genericGroupedSegmentScan(seg *storage.Segment, q *query.Query, out Outputs, ga *groupedAcc) error {
 	f, err := newSegGroupedFolder(seg, q.AllAttrs(), out)
 	if err != nil {

@@ -4,7 +4,6 @@ import (
 	"h2o/internal/data"
 	"h2o/internal/expr"
 	"h2o/internal/query"
-	"h2o/internal/storage"
 )
 
 // This file is the partial-result layer behind the serving layer's delta
@@ -239,235 +238,4 @@ func Repaired(prior, fresh *PartialResult, reused []int) *PartialResult {
 		out.Segs[si] = sp
 	}
 	return out
-}
-
-// ExecPartials scans every candidate segment of rel for the repairable
-// query q and returns the per-segment partials. It is ExecDelta with
-// nothing to reuse; the merged Result() equals what any full strategy
-// computes.
-func ExecPartials(rel *storage.Relation, q *query.Query, stats *StrategyStats) (*PartialResult, error) {
-	fresh, _, err := ExecDelta(rel, q, nil, 1, stats)
-	return fresh, err
-}
-
-// deltaTask is one segment ExecDelta must rescan.
-type deltaTask struct {
-	si  int
-	seg *storage.Segment
-	v   uint64
-}
-
-// ExecDelta is the delta-repair scan: it walks rel's segments exactly like
-// the fingerprint computation does — empty segments skipped, segments whose
-// zone maps rule the conjunction out pruned — and, for each surviving
-// candidate, either *reuses* the caller's prior partial (the segment's
-// version matches have[si], so neither its rows nor its candidacy can have
-// changed) or *rescans* it into a fresh SegPartial. It returns the fresh
-// partials and the indices of the reused candidates; combining
-// Repaired(prior, fresh, reused).Result() equals a cold full scan of the
-// current state.
-//
-// have is the version vector of the caller's cached partials (nil reuses
-// nothing — a full partial scan). workers > 1 fans the rescans out one
-// goroutine task per segment, exactly as the row pipeline's fan-out does —
-// partials are per-segment and order-independent, so the usual case of one changed
-// tail stays serial while a cold seed of a large relation uses every core.
-// The caller must hold the relation stable (the engine's read lock
-// suffices). Non-repairable queries return ErrUnsupported. Stats, when
-// non-nil, receives the scan counters: only rescanned segments count as
-// scanned/touched.
-func ExecDelta(rel *storage.Relation, q *query.Query, have map[int]uint64, workers int, stats *StrategyStats) (fresh *PartialResult, reused []int, err error) {
-	if !Repairable(q) {
-		return nil, nil, ErrUnsupported
-	}
-	out := Classify(q)
-	preds, splittable := SplitConjunction(q.Where)
-	if !splittable {
-		preds = nil
-	}
-
-	// Phase 1: classify segments — prune, reuse, or plan a rescan. Under
-	// the caller's read lock no version can move between this read and the
-	// scan below (mutations hold the exclusive lock).
-	var tasks []deltaTask
-	for si, seg := range rel.Segments {
-		if seg.Rows == 0 {
-			continue
-		}
-		if len(preds) > 0 && segPruned(seg, preds) {
-			if stats != nil {
-				stats.SegmentsPruned++
-			}
-			continue
-		}
-		v := seg.Version()
-		if have != nil {
-			if hv, ok := have[si]; ok && hv == v {
-				reused = append(reused, si)
-				continue
-			}
-		}
-		tasks = append(tasks, deltaTask{si: si, seg: seg, v: v})
-	}
-
-	// Phase 2: rescan the planned segments, serially or fanned out.
-	fresh = newPartialResult(q)
-	if workers > len(tasks) {
-		workers = len(tasks)
-	}
-	if workers <= 1 {
-		for _, t := range tasks {
-			sp, faulted, err := scanDeltaTask(t, q, out, preds, splittable, stats)
-			if err != nil {
-				return nil, nil, err
-			}
-			stats.touch(t.si)
-			if stats != nil && faulted {
-				stats.SegmentsFaulted++
-			}
-			fresh.Segs[t.si] = sp
-		}
-		return fresh, reused, nil
-	}
-
-	partials := make([]*SegPartial, len(tasks))
-	faulted := make([]bool, len(tasks))
-	// Per-task stats keep the workers race-free; the encoded-kernel
-	// counters fold into the caller's stats after the join.
-	taskStats := make([]StrategyStats, len(tasks))
-	err = claimLoop(len(tasks), workers, nil, func(ti int) error {
-		sp, f, err := scanDeltaTask(tasks[ti], q, out, preds, splittable, &taskStats[ti])
-		if err != nil {
-			return err
-		}
-		partials[ti], faulted[ti] = sp, f
-		return nil
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	for ti, sp := range partials {
-		stats.touch(tasks[ti].si)
-		if stats != nil {
-			if faulted[ti] {
-				stats.SegmentsFaulted++
-			}
-			stats.DecodeSkips += taskStats[ti].DecodeSkips
-			stats.EncodedBytes += taskStats[ti].EncodedBytes
-		}
-		fresh.Segs[tasks[ti].si] = sp
-	}
-	return fresh, reused, nil
-}
-
-// encodedEligible reports whether the encoded block kernel can serve the
-// classified shape: aggregate outputs with a splittable conjunction.
-// Everything else reads rows through accessor indirection and needs flat
-// data.
-func encodedEligible(out Outputs, splittable bool) bool {
-	if !splittable {
-		return false
-	}
-	return out.Kind == OutAggregates || out.Kind == OutAggExpression || out.Kind == OutGrouped
-}
-
-// scanDeltaTask pins one planned segment, scans its partial and stamps the
-// version read during classification. Shapes the encoded kernel can serve
-// pin at encoded-or-better residency, so spilled segments of an encoded
-// tier repair their partials without materializing flat mini-tuples.
-func scanDeltaTask(t deltaTask, q *query.Query, out Outputs, preds []ColPred, splittable bool, stats *StrategyStats) (*SegPartial, bool, error) {
-	var faulted bool
-	var err error
-	if encodedEligible(out, splittable) {
-		faulted, err = t.seg.AcquireEncoded()
-	} else {
-		faulted, err = t.seg.Acquire()
-	}
-	if err != nil {
-		return nil, false, err
-	}
-	t.seg.Touch()
-	sp, err := scanSegmentPartial(t.seg, q, out, preds, splittable, stats)
-	t.seg.Release()
-	if err != nil {
-		return nil, false, err
-	}
-	sp.Version = t.v
-	return sp, faulted, nil
-}
-
-// scanSegmentPartial computes one pinned segment's aggregate states. The
-// fused row kernel serves segments with a single covering group (the common
-// case, including non-splittable predicates via the interpreted filter);
-// everything else — multi-group layouts, mixed aggregate shapes outside the
-// template library — falls back to the per-segment generic interpreter with
-// fresh states, so every repairable query has a partial path on every
-// layout.
-func scanSegmentPartial(seg *storage.Segment, q *query.Query, out Outputs, preds []ColPred, splittable bool, stats *StrategyStats) (*SegPartial, error) {
-	// Encoded-first: when the segment's needed groups hold encodings (an
-	// encoded-resident rung, an mmap-backed fault, or a sealed-with-
-	// encoding flat segment), the block kernel computes the partial
-	// without materializing flat data.
-	if encodedEligible(out, splittable) {
-		if out.Kind == OutGrouped {
-			ga := newGroupedAcc(out)
-			ok, err := encodedSegmentScan(seg, out, preds, nil, ga, stats)
-			if err != nil {
-				return nil, err
-			}
-			if ok {
-				return &SegPartial{Groups: ga.m}, nil
-			}
-		} else {
-			states := newStates(out)
-			ok, err := encodedSegmentScan(seg, out, preds, states, nil, stats)
-			if err != nil {
-				return nil, err
-			}
-			if ok {
-				return &SegPartial{States: states}, nil
-			}
-		}
-	}
-	if out.Kind == OutGrouped {
-		// Fused grouped kernel on a single covering group; otherwise the
-		// grouped generic interpreter — every layout has a grouped path.
-		if g := bestCoveringGroupSeg(seg, q); g != nil {
-			if splittable {
-				if bound, ok := BindPreds(g, preds); ok {
-					p := scanRange(g, out, bound, nil, 0, seg.Rows)
-					return &SegPartial{Groups: p.groups.m}, nil
-				}
-			} else {
-				p := scanRange(g, out, nil, q.Where, 0, seg.Rows)
-				return &SegPartial{Groups: p.groups.m}, nil
-			}
-		}
-		ga := newGroupedAcc(out)
-		if err := genericGroupedSegmentScan(seg, q, out, ga); err != nil {
-			return nil, err
-		}
-		return &SegPartial{Groups: ga.m}, nil
-	}
-	if out.Kind == OutAggregates || out.Kind == OutAggExpression {
-		if g := bestCoveringGroupSeg(seg, q); g != nil {
-			if splittable {
-				if bound, ok := BindPreds(g, preds); ok {
-					p := scanRange(g, out, bound, nil, 0, seg.Rows)
-					return &SegPartial{States: p.states}, nil
-				}
-			} else {
-				p := scanRange(g, out, nil, q.Where, 0, seg.Rows)
-				return &SegPartial{States: p.states}, nil
-			}
-		}
-	}
-	states := make([]*expr.AggState, len(q.Items))
-	for i, it := range q.Items {
-		states[i] = expr.NewAggState(it.Agg.Op)
-	}
-	if err := genericSegmentScan(seg, q, true, states, nil); err != nil {
-		return nil, err
-	}
-	return &SegPartial{States: states}, nil
 }

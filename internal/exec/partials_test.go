@@ -47,7 +47,8 @@ func partialRelation(t *testing.T, rows, segCap int) *storage.Relation {
 }
 
 // TestPartialsMatchFullScan: for every aggregate operator (and the mixed
-// generic shape), the combined partials equal the generic reference.
+// shape hybrid has no operators for, which ExecDelta hands to the generic
+// pipeline), the combined partials equal the generic reference.
 func TestPartialsMatchFullScan(t *testing.T) {
 	rel := partialRelation(t, 1000, 128)
 	queries := []*query.Query{
@@ -64,7 +65,7 @@ func TestPartialsMatchFullScan(t *testing.T) {
 	}
 	for _, q := range queries {
 		var st StrategyStats
-		p, err := ExecPartials(rel, q, &st)
+		p, _, err := ExecDelta(rel, q, nil, ExecOpts{Strategy: StrategyHybrid, Stats: &st})
 		if err != nil {
 			t.Fatalf("%s: %v", q, err)
 		}
@@ -93,7 +94,7 @@ func TestExecDeltaTailAppend(t *testing.T) {
 	rel := partialRelation(t, 4*segCap, segCap) // 4 sealed-capacity segments
 	q := query.Aggregation("R", expr.AggSum, []data.AttrID{1, 2}, nil)
 
-	prior, err := ExecPartials(rel, q, nil)
+	prior, _, err := ExecDelta(rel, q, nil, ExecOpts{Strategy: StrategyColumn})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +109,7 @@ func TestExecDeltaTailAppend(t *testing.T) {
 	}
 
 	var st StrategyStats
-	fresh, reused, err := ExecDelta(rel, q, prior.Versions(), 4, &st)
+	fresh, reused, err := ExecDelta(rel, q, prior.Versions(), ExecOpts{Strategy: StrategyColumn, Workers: 4, Stats: &st})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +144,7 @@ func TestExecDeltaPrunedTail(t *testing.T) {
 	rel := partialRelation(t, 4*segCap, segCap)
 	q := query.Aggregation("R", expr.AggSum, []data.AttrID{1}, query.PredLt(0, data.Value(segCap)))
 
-	prior, err := ExecPartials(rel, q, nil)
+	prior, _, err := ExecDelta(rel, q, nil, ExecOpts{Strategy: StrategyHybrid})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +156,7 @@ func TestExecDeltaPrunedTail(t *testing.T) {
 	}
 
 	var st StrategyStats
-	fresh, reused, err := ExecDelta(rel, q, prior.Versions(), 1, &st)
+	fresh, reused, err := ExecDelta(rel, q, prior.Versions(), ExecOpts{Strategy: StrategyHybrid, Stats: &st})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,12 +175,12 @@ func TestExecDeltaPrunedTail(t *testing.T) {
 // TestExecDeltaUnsupported: non-repairable shapes must refuse cleanly.
 func TestExecDeltaUnsupported(t *testing.T) {
 	rel := partialRelation(t, 100, 64)
-	if _, _, err := ExecDelta(rel, query.Projection("R", []data.AttrID{0}, nil), nil, 1, nil); err != ErrUnsupported {
+	if _, _, err := ExecDelta(rel, query.Projection("R", []data.AttrID{0}, nil), nil, ExecOpts{Strategy: StrategyGeneric}); err != ErrUnsupported {
 		t.Fatalf("projection: err = %v, want ErrUnsupported", err)
 	}
 	limited := query.Aggregation("R", expr.AggCount, []data.AttrID{0}, nil)
 	limited.Limit = 1
-	if _, _, err := ExecDelta(rel, limited, nil, 1, nil); err != ErrUnsupported {
+	if _, _, err := ExecDelta(rel, limited, nil, ExecOpts{Strategy: StrategyGeneric}); err != ErrUnsupported {
 		t.Fatalf("limited aggregate: err = %v, want ErrUnsupported", err)
 	}
 }

@@ -27,23 +27,18 @@ func TestStrategyRegistry(t *testing.T) {
 		t.Fatalf("ExplainStrategies() = %v, want %v", got, want)
 	}
 	plannable := map[Strategy]bool{
-		StrategyRow:        true,
-		StrategyColumn:     true,
-		StrategyHybrid:     true,
-		StrategyGeneric:    true,
-		StrategyVectorized: true,
-		StrategyBitmap:     true,
-		StrategyEncoded:    false,
-		StrategyReorg:      false,
-		StrategyDelta:      false,
+		StrategyRow:     true,
+		StrategyColumn:  true,
+		StrategyHybrid:  true,
+		StrategyGeneric: true,
+		StrategyEncoded: false,
+		StrategyReorg:   false,
+		StrategyDelta:   false,
 	}
 	for s, want := range plannable {
 		if got := Plannable(s); got != want {
 			t.Fatalf("Plannable(%v) = %v, want %v", s, got, want)
 		}
-	}
-	if StrategyVectorized.String() != "vectorized" || StrategyBitmap.String() != "bitmap" {
-		t.Fatalf("new strategy names: %q, %q", StrategyVectorized, StrategyBitmap)
 	}
 }
 
@@ -82,15 +77,6 @@ func TestSegmentOperatorsHandBuilt(t *testing.T) {
 			}},
 			{"hybrid", func(seg *storage.Segment) (*partial, error) {
 				return hybridSegPartial(seg, q, out, preds, nil)
-			}},
-			{"vectorized-7", func(seg *storage.Segment) (*partial, error) {
-				return vectorSegPartial(seg, q, out, preds, 7, nil)
-			}},
-			{"vectorized-1024", func(seg *storage.Segment) (*partial, error) {
-				return vectorSegPartial(seg, q, out, preds, 1024, nil)
-			}},
-			{"bitmap", func(seg *storage.Segment) (*partial, error) {
-				return bitmapSegPartial(seg, q, out, preds, nil)
 			}},
 			{"encoded", func(seg *storage.Segment) (*partial, error) {
 				return encodedSegPartial(seg, q, out, preds, nil)
@@ -156,7 +142,7 @@ func TestExecSkipsEmptySegments(t *testing.T) {
 			}
 		}
 		q := query.Aggregation("R", expr.AggSum, []data.AttrID{1}, nil)
-		for _, s := range []Strategy{StrategyRow, StrategyColumn, StrategyHybrid, StrategyVectorized, StrategyBitmap, StrategyGeneric} {
+		for _, s := range []Strategy{StrategyRow, StrategyColumn, StrategyHybrid, StrategyGeneric} {
 			var st StrategyStats
 			if _, err := Exec(rel, q, ExecOpts{Strategy: s, Stats: &st}); err != nil {
 				t.Fatalf("rows=%d strategy %v: %v", rows, s, err)
@@ -189,7 +175,7 @@ func TestWorkersFanOutMatchesSerial(t *testing.T) {
 			return q
 		}(),
 	}
-	strats := []Strategy{StrategyRow, StrategyColumn, StrategyHybrid, StrategyVectorized, StrategyBitmap, StrategyGeneric}
+	strats := []Strategy{StrategyRow, StrategyColumn, StrategyHybrid, StrategyGeneric}
 	for qi, q := range qs {
 		for _, s := range strats {
 			want, err := Exec(rel, q, ExecOpts{Strategy: s})

@@ -1,15 +1,15 @@
 // Package exec implements H2O's execution strategies (paper §3.3) as
 // per-segment streaming operator pipelines behind one entry point:
 //
-//	Exec(rel, q, ExecOpts{Strategy, Workers, VectorSize, HotMask, Stats})
+//	Exec(rel, q, ExecOpts{Strategy, Workers, HotMask, ReorgAttrs, NewGroups, Stats})
 //
 // Every strategy — the volcano-style fused row scan with predicate
 // push-down, column-at-a-time late materialization, the hybrid
-// group-of-columns strategy, its vectorized and bitmap variants, the
-// generic tuple-at-a-time interpreter (§3.4, Fig. 14), the encoded-direct
-// block kernel, and the online-reorganization executor that creates a new
-// layout while answering the query (§3.2, Fig. 13) — is a pipeline of the
-// same three stages:
+// group-of-columns strategy, the generic tuple-at-a-time interpreter
+// (§3.4, Fig. 14), the encoded-direct block kernel, and the
+// online-reorganization executor that creates a new layout while
+// answering the query (§3.2, Fig. 13) — is a pipeline of the same three
+// stages:
 //
 //	SegSource ──► Filter ──► Project / Aggregate / Group ──► merge
 //	(prune → pin/fault →     (one *partial* per segment)     (segment
@@ -46,14 +46,17 @@
 // fan-out uses to stay bit-identical to the serial scan, and that the
 // partial-result layer (partials.go) makes durable: for *repairable*
 // queries (every select item a decomposable aggregate or a group-by key,
-// no LIMIT — see Repairable), ExecPartials keeps each candidate segment's
-// states as a versioned SegPartial, and ExecDelta later rescans only the
-// segments whose versions moved (through the same claim loop),
-// re-combining with the retained partials. The serving layer's delta
-// repair, and the O(changed segments) repair cost it buys, rest entirely
-// on that contract; the partials contract at the top of partials.go
-// spells out which aggregates decompose and why LIMIT disqualifies
-// repair.
+// no LIMIT — see Repairable), ExecDelta runs the caller's chosen
+// strategy's pipeline in the driver's repair mode. It keeps each scanned
+// candidate segment's partial as a versioned SegPartial instead of
+// merging, and skips the candidates whose versions match the caller's
+// cached partials, so a repair rescans only the segments that moved and
+// re-combines with the retained partials. Delta repair therefore runs the
+// same per-segment operators as every full scan. The serving layer's
+// delta repair, and the O(changed segments) repair cost it buys, rest
+// entirely on that contract; the partials contract at the top of
+// partials.go spells out which aggregates decompose and why LIMIT
+// disqualifies repair.
 //
 // GROUP BY rides the same machinery (grouped.go): every pipeline folds
 // qualifying rows into a per-segment map of encoded group key → AggState
@@ -108,8 +111,3 @@ func (r *Result) Equal(o *Result) bool {
 	}
 	return true
 }
-
-// VectorSize is the number of values processed per vector; vectors of this
-// size stay L1-resident ("vectors fit in the L1 cache for better cache
-// locality", §3.3).
-const VectorSize = 1024

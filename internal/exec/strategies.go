@@ -470,9 +470,7 @@ func hybridScanSegment(seg *storage.Segment, q *query.Query, out Outputs, preds 
 // tuple-at-a-time loop over one pinned segment, evaluating the predicate
 // tree and select expressions through per-attribute accessor indirection.
 // Aggregate items fold into states (one per select item, in item order);
-// non-aggregate outputs append to res. The partial-result layer reuses it
-// with fresh per-segment states to compute SegPartials on layouts or query
-// shapes the fused kernels cannot serve.
+// non-aggregate outputs append to res.
 func genericSegmentScan(seg *storage.Segment, q *query.Query, hasAgg bool, states []*expr.AggState, res *Result) error {
 	_, assign, err := seg.CoveringGroups(q.AllAttrs())
 	if err != nil {

@@ -229,8 +229,7 @@ func saveSegmentGroups(bw *bufio.Writer, seg *storage.Segment) error {
 }
 
 // writeGroupSection writes one group's wire section — attribute count and
-// ids, stride, data. The H2OSNAP2 snapshot and the H2OSEG01 segment file
-// share this encoding; keep them in lockstep by changing it only here.
+// ids, stride, data. The H2OSNAP2 snapshot is its only user.
 func writeGroupSection(bw *bufio.Writer, g *storage.ColumnGroup) error {
 	if err := writeU32(bw, uint32(len(g.Attrs))); err != nil {
 		return err

@@ -1,6 +1,8 @@
 package persist
 
 import (
+	"bufio"
+	"bytes"
 	"os"
 	"path/filepath"
 	"strings"
@@ -51,29 +53,82 @@ func TestSegmentStoreRoundTrip(t *testing.T) {
 	}
 }
 
-// TestSegmentStoreLegacyV1Readable proves spill directories written by the
-// flat H2OSEG01 format still fault in correctly.
-func TestSegmentStoreLegacyV1Readable(t *testing.T) {
+// writePreviousFormat writes seg as a well-formed file of the flat format
+// that preceded H2OSEG02 (magic version digit 1): version, rows, group
+// count, each group's wire section, and that format's salted
+// position-mixed digest over the flat group data.
+func writePreviousFormat(t *testing.T, path string, seg *storage.Segment) {
+	t.Helper()
+	magic := segMagicV2
+	magic[7] = '1'
+	var buf bytes.Buffer
+	bw := bufio.NewWriter(&buf)
+	bw.Write(magic[:])
+	writeU64(bw, seg.Version())
+	writeU64(bw, uint64(seg.Rows))
+	writeU32(bw, uint32(len(seg.Groups)))
+	var digest uint64
+	for gi, g := range seg.Groups {
+		if err := writeGroupSection(bw, g); err != nil {
+			t.Fatal(err)
+		}
+		for i, v := range g.Data {
+			h := uint64(v) ^ (uint64(i) * 0x9e3779b97f4a7c15) ^ (uint64(gi) * 0xc2b2ae3d27d4eb4f)
+			h ^= h >> 33
+			h *= 0xff51afd7ed558ccd
+			digest += h
+		}
+	}
+	writeU64(bw, digest)
+	if err := bw.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestSegmentStoreRejectsPreviousFormat: a well-formed file of the flat
+// format that preceded H2OSEG02 is refused with a clean error, and the
+// failed fault leaves the segment untouched — still spilled, no flat data
+// or encoding installed — so a later fault from a current file succeeds.
+func TestSegmentStoreRejectsPreviousFormat(t *testing.T) {
 	st, rel := segStoreFixture(t)
 	seg := rel.Segments[2]
 	var sums []uint64
 	for _, g := range seg.Groups {
 		sums = append(sums, storage.GroupChecksum(g))
 	}
-	if err := writeSegmentV1(st, "legacy", seg); err != nil {
+	writePreviousFormat(t, st.Path("old"), seg)
+	if err := st.WriteSegment("new", seg); err != nil {
 		t.Fatal(err)
 	}
 	if !seg.Unload() {
 		t.Fatal("unload failed")
 	}
-	rel.SetLoader(func(s *storage.Segment) error { return st.ReadSegment("legacy", s) })
+
+	err := st.ReadSegment("old", seg)
+	if err == nil || !strings.Contains(err.Error(), "not an H2OSEG02 segment file") {
+		t.Fatalf("ReadSegment on a previous-format file: err = %v, want a not-an-H2OSEG02 error", err)
+	}
+	if seg.State() != storage.SegSpilled {
+		t.Fatalf("segment state %v after a rejected fault, want spilled", seg.State())
+	}
+	for gi, g := range seg.Groups {
+		if g.Data != nil || g.CachedEncoding() != nil {
+			t.Fatalf("group %d gained data or an encoding from a rejected file", gi)
+		}
+	}
+
+	// The untouched segment still faults in from a current file.
+	rel.SetLoader(func(s *storage.Segment) error { return st.ReadSegment("new", s) })
 	if _, err := seg.Acquire(); err != nil {
 		t.Fatal(err)
 	}
 	defer seg.Release()
 	for gi, g := range seg.Groups {
 		if storage.GroupChecksum(g) != sums[gi] {
-			t.Fatalf("group %d content changed across a legacy V1 round trip", gi)
+			t.Fatalf("group %d content changed across the rejected fault", gi)
 		}
 	}
 }

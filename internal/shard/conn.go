@@ -5,7 +5,6 @@ import (
 	"h2o/internal/data"
 	"h2o/internal/exec"
 	"h2o/internal/query"
-	"h2o/internal/storage"
 )
 
 // Conn is the router's transport seam to one shard. The query-path methods
@@ -50,9 +49,6 @@ type Conn interface {
 // transport. It adapts through the engine's public API only.
 type engineConn struct {
 	e *core.Engine
-	// workers is the shard's intra-query fan-out for ScanPartials, split
-	// from the router-wide Options.Parallelism.
-	workers int
 }
 
 func (c *engineConn) Exec(q *query.Query) (*exec.Result, core.ExecInfo, error) {
@@ -67,27 +63,10 @@ func (c *engineConn) ExecDelta(q *query.Query, have map[int]uint64) (*core.Delta
 	return c.e.QueryDelta(q, have)
 }
 
-// ScanPartials scans every candidate segment's partial under the engine's
-// read lock, with the fingerprint computed under that same lock so the
-// result is exactly consistent with it. Unlike QueryDelta it never defers
-// to the adaptive machinery — the caller has already given the full path
-// its chance.
+// ScanPartials delegates to the engine, which picks the strategy by the
+// same rule as every other scan.
 func (c *engineConn) ScanPartials(q *query.Query) (*core.DeltaScan, error) {
-	ds := &core.DeltaScan{}
-	err := c.e.View(func(rel *storage.Relation) error {
-		fresh, _, err := exec.ExecDelta(rel, q, nil, c.workers, &ds.Stats)
-		if err != nil {
-			return err
-		}
-		ds.Fresh = fresh
-		ds.Fingerprint = core.TouchFingerprintOf(rel, q)
-		ds.Layout = rel.Kind()
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return ds, nil
+	return c.e.ScanPartials(q)
 }
 
 func (c *engineConn) Version() (uint64, error) { return c.e.Version(), nil }

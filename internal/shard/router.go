@@ -91,20 +91,13 @@ func New(t *data.Table, opts core.Options) *Router {
 		}
 		shardOpts.Parallelism = per
 	}
-	workers := shardOpts.Parallelism
-	if workers < 1 {
-		workers = 1
-	}
 	r := &Router{
 		conns:  make([]Conn, n),
 		segCap: segCap,
 		width:  t.Schema.NumAttrs(),
 	}
 	for s, sub := range splitTable(t, n, segCap) {
-		r.conns[s] = &engineConn{
-			e:       core.New(storage.BuildColumnMajorSeg(sub, segCap), shardOpts),
-			workers: workers,
-		}
+		r.conns[s] = &engineConn{e: core.New(storage.BuildColumnMajorSeg(sub, segCap), shardOpts)}
 	}
 	// Resume the append cursor at the chunk the initial deal left open:
 	// chunk L = (Rows-1)/segCap went to shard L%n with Rows-L*segCap rows.
