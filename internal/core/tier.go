@@ -62,8 +62,12 @@ type TierStats struct {
 // currently reference that segment. The tier manager consults it when
 // picking eviction victims: spilling a segment that many cached entries
 // depend on makes their future repairs and revalidations pay disk faults,
-// so low-heat segments go first. The function must take its own snapshot
-// locks only — it is called with the tier manager's mutex held.
+// so low-heat segments go first. It is read only by enforcement passes
+// that find the relation over budget, once per pass. The serving layer
+// keeps the counts incrementally, so a call copies O(segments) counters
+// under one mutex (server.Server.SegmentHeat). The function must take its
+// own snapshot locks only — it is called with the tier manager's mutex
+// held.
 type SegmentHeatFunc func() map[int]int
 
 // tierManager enforces Options.MemoryBudgetBytes over one relation: when
@@ -248,21 +252,24 @@ func (tm *tierManager) enforce() {
 		reads uint64
 		heat  int
 	}
-	var heat map[int]int
-	if tm.heat != nil {
-		heat = tm.heat()
-	}
 	var resident int64
 	var cands []candidate
 	for si, seg := range tm.rel.Segments {
 		b := seg.ResidentBytes()
 		resident += b
 		if seg != tail && seg.Rows > 0 && b > 0 {
-			cands = append(cands, candidate{si, seg, seg.Reads(), heat[si]})
+			cands = append(cands, candidate{si: si, seg: seg, reads: seg.Reads()})
 		}
 	}
 	if resident <= tm.budget {
 		return
+	}
+	// Heat only orders the victims, so a pass under budget never reads it.
+	if tm.heat != nil {
+		heat := tm.heat()
+		for i := range cands {
+			cands[i].heat = heat[cands[i].si]
+		}
 	}
 	// Coldest first: fewest cache references, then fewest reads since the
 	// last adaptation phase, then oldest (lowest index — append-ordered

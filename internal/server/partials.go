@@ -24,9 +24,13 @@ func partialKey(table, normQuery string) string {
 // SegPartials are immutable once published: repairs build new payloads via
 // exec.Repaired instead of mutating in place, so readers never race
 // writers on the states themselves. last is the LRU tick of the most
-// recent access, updated atomically on the read path.
+// recent access, updated atomically on the read path. table and segs (the
+// keys of p.Segs) are the payload's heat contribution, kept so replacement
+// and eviction release exactly what admission counted.
 type pentry struct {
 	p     *exec.PartialResult
+	table string
+	segs  []int
 	bytes int64
 	last  atomic.Uint64
 }
@@ -36,7 +40,8 @@ type pentry struct {
 // by *bytes*, not entries — payloads scale with segment count, so an
 // entry cap would let a few wide relations blow the budget. A single
 // mutex suffices: the cache is only touched on misses of repairable
-// queries, each of which just paid (at least) a segment scan.
+// queries, each of which just paid (at least) a segment scan. Admission,
+// replacement and eviction update heat under mu.
 type partialCache struct {
 	mu    sync.Mutex
 	items map[string]*pentry
@@ -44,12 +49,13 @@ type partialCache struct {
 	bytes int64
 	cap   int64
 	tick  atomic.Uint64
+	heat  *segmentHeat
 
 	evicted atomic.Uint64
 }
 
-func newPartialCache(capBytes int64) *partialCache {
-	return &partialCache{items: make(map[string]*pentry), cap: capBytes}
+func newPartialCache(capBytes int64, heat *segmentHeat) *partialCache {
+	return &partialCache{items: make(map[string]*pentry), cap: capBytes, heat: heat}
 }
 
 // get returns the payload cached under key, or nil.
@@ -64,25 +70,46 @@ func (c *partialCache) get(key string) *exec.PartialResult {
 	return e.p
 }
 
-// put installs (or replaces) the payload under key, then evicts
-// least-recently-used payloads until the byte budget holds. A payload
-// larger than the whole budget is not admitted at all — caching it would
-// evict everything else for one entry that can never stay.
-func (c *partialCache) put(key string, p *exec.PartialResult) {
-	b := p.Bytes()
+// payloadOverhead is the heap a cached payload holds beyond
+// PartialResult.Bytes (which charges only its per-segment states) and its
+// key: the PartialResult header and its Segs map, the pentry, and the
+// entry's slots in items and the eviction index. Measured at about 500
+// bytes per payload on amd64; without it a cache of small payloads — a
+// few segments each, the common case for selective aggregates — held
+// about twice its byte budget.
+const payloadOverhead = 512
+
+// payloadCharge is what caching p under key costs against the budget.
+func payloadCharge(key string, p *exec.PartialResult) int64 {
+	return p.Bytes() + int64(len(key)) + payloadOverhead
+}
+
+// put installs (or replaces) the payload under key, which must name table
+// (see partialKey), then evicts least-recently-used payloads until the byte
+// budget holds, charging each payload payloadCharge. A payload larger than
+// the whole budget is not admitted at all — caching it would evict
+// everything else for one entry that can never stay.
+func (c *partialCache) put(table, key string, p *exec.PartialResult) {
+	b := payloadCharge(key, p)
 	if b > c.cap {
 		return
+	}
+	segs := make([]int, 0, len(p.Segs))
+	for si := range p.Segs {
+		segs = append(segs, si)
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	old, replaced := c.items[key]
 	if replaced {
 		c.bytes -= old.bytes
+		c.heat.add(old.table, old.segs, -1)
 	}
-	e := &pentry{p: p, bytes: b}
+	e := &pentry{p: p, table: table, segs: segs, bytes: b}
 	e.last.Store(c.tick.Add(1))
 	c.items[key] = e
 	c.bytes += b
+	c.heat.add(table, segs, 1)
 	if !replaced {
 		c.ix.push(key, e.last.Load())
 	}
@@ -91,7 +118,9 @@ func (c *partialCache) put(key string, p *exec.PartialResult) {
 		if victim == "" {
 			return
 		}
-		c.bytes -= c.items[victim].bytes
+		v := c.items[victim]
+		c.bytes -= v.bytes
+		c.heat.add(v.table, v.segs, -1)
 		delete(c.items, victim)
 		c.evicted.Add(1)
 	}

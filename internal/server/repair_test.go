@@ -2,6 +2,8 @@ package server
 
 import (
 	"context"
+	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -189,6 +191,44 @@ func TestPartialBudgetRejectsOversizedPayload(t *testing.T) {
 	}
 }
 
+// TestPartialChargeCoversHeap: the budget charge of a cached payload
+// accounts for the heap the cache holds for it, key and bookkeeping
+// included, to within a tenth. Small payloads are the case that matters:
+// a selective aggregate retains one to a few segments, and the fixed cost
+// of each payload outweighs its states.
+func TestPartialChargeCoversHeap(t *testing.T) {
+	ops := []expr.AggOp{expr.AggSum, expr.AggMax, expr.AggCount}
+	for _, segs := range []int{1, 3} {
+		const n = 2000
+		c := newPartialCache(1<<40, &segmentHeat{})
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		var charged int64
+		for i := 0; i < n; i++ {
+			p := &exec.PartialResult{Ops: ops, Segs: make(map[int]*exec.SegPartial, segs)}
+			for si := 0; si < segs; si++ {
+				sp := &exec.SegPartial{Version: 1, States: make([]*expr.AggState, len(ops))}
+				for k, op := range ops {
+					sp.States[k] = expr.NewAggState(op)
+				}
+				p.Segs[si] = sp
+			}
+			key := partialKey("R", fmt.Sprintf("select sum(a1), max(a2), count(a3) from R where a0 >= %d", i))
+			charged += payloadCharge(key, p)
+			c.put("R", key, p)
+		}
+		runtime.GC()
+		runtime.ReadMemStats(&after)
+		held := int64(after.HeapAlloc) - int64(before.HeapAlloc)
+		if held > charged+charged/10 {
+			t.Errorf("%d-segment payloads: cache holds %d heap bytes, charged %d", segs, held, charged)
+		}
+		t.Logf("%d-segment payloads: %d heap bytes per payload, %d charged", segs, held/n, charged/n)
+		runtime.KeepAlive(c)
+	}
+}
+
 // TestFingerprintMemo: repeat admissions at an unchanged relation version
 // reuse the memoized fingerprint; any mutation stops the memo from
 // matching (the version can never recur).
@@ -233,6 +273,9 @@ func TestFingerprintMemo(t *testing.T) {
 // appends and tiered-storage evictions under -race: the repair path — prior
 // payload reads, delta diffs under the engine lock, payload republish —
 // must stay coherent while segments mutate, spill and fault underneath it.
+// The eviction passes read the server's segment heat, as the facade wires
+// it, and one more goroutine snapshots it in a loop while the caches churn;
+// at quiescence the counts must equal the full-scan reference.
 func TestDeltaRepairStress(t *testing.T) {
 	const segCap, segs = 128, 8
 	opts := core.DefaultOptions() // adaptive: repairs interleave with reorg fallbacks
@@ -242,6 +285,21 @@ func TestDeltaRepairStress(t *testing.T) {
 	defer b.e.Close()
 	s := New(b, Config{Workers: 4, QueueDepth: 16})
 	defer s.Close()
+	b.e.SetSegmentHeat(func() map[int]int { return s.SegmentHeat("R") })
+
+	stopHeat := make(chan struct{})
+	heatDone := make(chan struct{})
+	go func() {
+		defer close(heatDone)
+		for {
+			select {
+			case <-stopHeat:
+				return
+			default:
+				s.SegmentHeat("R")
+			}
+		}
+	}()
 
 	var wg sync.WaitGroup
 	errCh := make(chan error, 16)
@@ -286,10 +344,13 @@ func TestDeltaRepairStress(t *testing.T) {
 		}
 	}()
 	wg.Wait()
+	close(stopHeat)
+	<-heatDone
 	close(errCh)
 	for err := range errCh {
 		t.Error(err)
 	}
+	checkHeat(t, s, "quiesced", "R")
 	st := s.Stats()
 	if st.Submitted != 360 || st.Executed+st.CacheHits < 360 {
 		t.Fatalf("stats = %+v", st)

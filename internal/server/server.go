@@ -4,8 +4,6 @@ import (
 	"context"
 	"errors"
 	"runtime"
-	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -78,7 +76,8 @@ type Config struct {
 	// 4096. Negative disables caching entirely.
 	CacheEntries int
 	// PartialCacheBytes budgets the per-segment partial-aggregate payloads
-	// kept alongside cached results for delta repair. Default: 4 MiB.
+	// kept alongside cached results for delta repair, each charged with
+	// its key and bookkeeping as well as its states. Default: 4 MiB.
 	// Negative disables partial caching (and with it delta repair); it is
 	// also off whenever the backend does not implement DeltaBackend or the
 	// result cache is disabled.
@@ -206,6 +205,10 @@ type Server struct {
 	ver      VersionBackend
 	memo     *fpMemo
 
+	// heat counts the cached artifacts referencing each segment; the
+	// result and partials caches update it (see segmentHeat).
+	heat segmentHeat
+
 	queue chan *job
 	done  chan struct{} // closed by Close
 	wg    sync.WaitGroup
@@ -235,10 +238,10 @@ func New(backend Backend, cfg Config) *Server {
 		done:    make(chan struct{}),
 	}
 	if cfg.CacheEntries > 0 {
-		s.cache = newResultCache(cfg.CacheShards, cfg.CacheEntries)
+		s.cache = newResultCache(cfg.CacheShards, cfg.CacheEntries, &s.heat)
 		if d, ok := backend.(DeltaBackend); ok && cfg.PartialCacheBytes > 0 {
 			s.delta = d
-			s.partials = newPartialCache(cfg.PartialCacheBytes)
+			s.partials = newPartialCache(cfg.PartialCacheBytes, &s.heat)
 		}
 		if v, ok := backend.(VersionBackend); ok && cfg.MemoEntries > 0 {
 			s.ver = v
@@ -289,42 +292,20 @@ func (s *Server) CacheSize() int {
 // SegmentHeat reports, per segment index, how many live cached artifacts
 // for table reference that segment: result-cache entries count the
 // segments their execution actually read, partials payloads count every
-// segment they retain a partial for. The tiered-storage layer consumes it
-// (wired through the facade as a core.SegmentHeatFunc) to steer eviction
-// away from segments that many cached entries depend on — spilling those
-// would turn their future repairs and revalidations into disk faults. The
-// snapshot takes each cache shard's read lock briefly and calls no backend
-// code, so it is safe to invoke from inside an eviction pass.
+// segment they retain a partial for. Entries under stale fingerprints count
+// until the LRU recycles them; joins contribute nothing (they record no
+// per-relation touch list). The tiered-storage layer consumes it (wired
+// through the facade as a core.SegmentHeatFunc) to steer eviction away from
+// segments that many cached entries depend on — spilling those would turn
+// their future repairs and revalidations into disk faults.
+//
+// The caches keep the counts current as entries come and go, so the call
+// copies one table's counters: O(segments of the table), under a single
+// mutex that no other lock is ever taken under. It takes no cache lock and
+// calls no backend code, so it is safe to invoke from inside an eviction
+// pass.
 func (s *Server) SegmentHeat(table string) map[int]int {
-	heat := make(map[int]int)
-	prefix := strconv.Itoa(len(table)) + ":" + table + ":"
-	if s.cache != nil {
-		for _, sh := range s.cache.shards {
-			sh.mu.RLock()
-			for k, e := range sh.items {
-				if !strings.HasPrefix(k, prefix) {
-					continue
-				}
-				for _, si := range e.info.SegmentsTouched {
-					heat[si]++
-				}
-			}
-			sh.mu.RUnlock()
-		}
-	}
-	if s.partials != nil {
-		s.partials.mu.Lock()
-		for k, e := range s.partials.items {
-			if !strings.HasPrefix(k, prefix) {
-				continue
-			}
-			for si := range e.p.Versions() {
-				heat[si]++
-			}
-		}
-		s.partials.mu.Unlock()
-	}
-	return heat
+	return s.heat.snapshot(table)
 }
 
 // Query serves one logical query: answered from the result cache when an
@@ -522,7 +503,7 @@ func (s *Server) serve(j *job) {
 func (s *Server) publish(j *job, res *exec.Result, info core.ExecInfo) {
 	if fp := info.Fingerprint; fp.Valid() {
 		pubKey := cacheKey(j.q.Table, j.norm, fp)
-		s.cache.put(pubKey, res, info)
+		s.cache.put(j.q.Table, pubKey, res, info)
 		if pubKey != j.key {
 			s.republished.Add(1)
 		}
@@ -584,7 +565,7 @@ func (s *Server) serveDelta(j *job) bool {
 	}
 	s.publish(j, res, info)
 	if ds.Fingerprint.Valid() {
-		s.partials.put(j.pkey, merged)
+		s.partials.put(j.q.Table, j.pkey, merged)
 	}
 	j.done <- outcome{res: res, info: info}
 	return true
